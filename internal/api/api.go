@@ -118,8 +118,9 @@ type SweepResponse struct {
 
 // Progress is one observation of a server's counters, streamed over
 // SSE (GET /v1/progress) and embedded in Info. Request-level counters
-// (Queued..EngineRuns) come from the service layer; simulation-level
-// counters (Resumed..Insts) from the batch engine underneath. Every
+// (Queued..EngineRuns, except Running) come from the service layer;
+// simulation-level counters (Running, Resumed..Insts) from the batch
+// engine underneath. Every
 // field is always present on the wire so consumers never distinguish
 // "zero" from "omitted".
 //
@@ -137,11 +138,13 @@ type Progress struct {
 	Failed int64 `json:"failed"`
 	// CacheHits counts specs answered from the content-addressed store.
 	CacheHits int64 `json:"cacheHits"`
-	// Collapsed counts duplicate in-flight submissions folded into a
-	// leader's run by the service-level singleflight.
+	// Collapsed counts submissions answered by another submission's
+	// simulation: joined to it in flight by the engine's singleflight,
+	// or taken from the engine's memo before the result reached the
+	// store.
 	Collapsed int64 `json:"collapsed"`
-	// EngineRuns counts specs that reached an engine (or the shard
-	// queue): the work the cache tiers failed to absorb.
+	// EngineRuns counts submissions the engine simulated for (X-Cache
+	// miss): the work the store and the singleflight failed to absorb.
 	EngineRuns int64 `json:"engineRuns"`
 	// Resumed, Retried and Warmed mirror the engine's journal-replay,
 	// fresh-machine-retry and checkpoint-warm-start counters.
@@ -154,14 +157,14 @@ type Progress struct {
 	ElapsedMS int64 `json:"elapsedMs"`
 }
 
-// Info describes a server (GET /v1/info): its pinned run lengths, its
-// shard topology, the registries it serves, and a progress snapshot.
+// Info describes a server (GET /v1/info): its pinned run lengths, the
+// registries it serves, and a progress snapshot.
 type Info struct {
 	API    string `json:"api"`
 	Insts  int64  `json:"insts"`
 	Warmup int64  `json:"warmup"`
 	Seed   int64  `json:"seed"`
-	// Shards is the worker-process count; 0 means the in-process engine.
+	// Shards is always 0; kept for v1 wire compatibility.
 	Shards  int      `json:"shards"`
 	Schemes []string `json:"schemes"`
 	Benches []string `json:"benches"`

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/prefetch"
 	"repro/internal/smpred"
+	"repro/internal/token"
 	"repro/internal/vpred"
 )
 
@@ -238,11 +239,17 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: invalid scheme %d", uint8(c.Scheme))
 	case !c.Check.Valid():
 		return fmt.Errorf("core: invalid check level %d", uint8(c.Check))
-	case c.TraceDepth < 0 || c.TraceDepth&(c.TraceDepth-1) != 0:
+	case !pow2OrZero(c.TraceDepth):
 		return fmt.Errorf("core: trace depth %d must be a power of two (or 0 for the default)",
 			c.TraceDepth)
-	case policyRegistry[c.Scheme].tokens && c.Tokens <= 0:
-		return fmt.Errorf("core: %v needs a positive token count", c.Scheme)
+	case !pow2OrZero(c.SMPred.Entries):
+		return fmt.Errorf("core: scheduling-miss predictor entries %d must be a power of two (or 0 for the default)",
+			c.SMPred.Entries)
+	case !pow2OrZero(c.VPred.Entries):
+		return fmt.Errorf("core: value predictor entries %d must be a power of two (or 0 for the default)",
+			c.VPred.Entries)
+	case policyRegistry[c.Scheme].tokens && (c.Tokens <= 0 || c.Tokens > token.MaxTokens):
+		return fmt.Errorf("core: %v needs a token count in 1..%d, not %d", c.Scheme, token.MaxTokens, c.Tokens)
 	case c.MaxInsts <= 0:
 		return fmt.Errorf("core: MaxInsts must be positive")
 	case c.Warmup < 0:
@@ -261,6 +268,8 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+func pow2OrZero(n int) bool { return n >= 0 && n&(n-1) == 0 }
 
 // traceDepth returns the effective monitor trace-window depth.
 func (c Config) traceDepth() int {

@@ -63,6 +63,10 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"negative reinsert", func(c *Config) { c.ReinsertPenalty = -1 }},
 		{"bad scheme", func(c *Config) { c.Scheme = Scheme(99) }},
 		{"tksel no tokens", func(c *Config) { c.Scheme = TkSel; c.Tokens = 0 }},
+		{"tksel too many tokens", func(c *Config) { c.Scheme = TkSel; c.Tokens = 1000 }},
+		{"smpred not a power of two", func(c *Config) { c.SMPred.Entries = 3 }},
+		{"negative smpred", func(c *Config) { c.SMPred.Entries = -4 }},
+		{"vpred not a power of two", func(c *Config) { c.VPred.Entries = 100 }},
 		{"no insts", func(c *Config) { c.MaxInsts = 0 }},
 		{"negative warmup", func(c *Config) { c.Warmup = -1 }},
 	}

@@ -97,6 +97,9 @@ func (m *Machine) SetObserver(f func(PipeEvent)) {
 // machine's event stream (Violation.Cursor indexes with it).
 func (m *Machine) EventCount() int64 { return m.evCount }
 
+// Cycle returns the machine's current cycle.
+func (m *Machine) Cycle() int64 { return m.cycle }
+
 func (m *Machine) emit(u *uop, kind PipeEventKind) {
 	m.evCount++
 	if m.mon != nil {

@@ -144,7 +144,7 @@ func TestRunRejectsBadSubmissions(t *testing.T) {
 	// Matching explicit lengths are accepted.
 	o := testOpts()
 	resp, body := postRun(t, ts.URL, api.RunRequest{
-		Spec: api.Spec{Bench: "gcc", Scheme: "PosSel"},
+		Spec:  api.Spec{Bench: "gcc", Scheme: "PosSel"},
 		Insts: o.Insts, Warmup: o.Warmup, Seed: o.Seed,
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -286,29 +286,44 @@ func TestClientIsARunner(t *testing.T) {
 	}
 }
 
-// TestSingleflightCollapse proves the acceptance property directly: N
-// concurrent submissions of one cold spec reach the engine exactly
-// once. Queue mode makes it deterministic — the leader blocks polling
-// for a worker that is not started until every follower has piled up.
+// TestSingleflightCollapse checks the engine-source to X-Cache mapping
+// and that every tier serves the same bytes. An answer from the engine
+// memo (here warmed behind the store's back, as happens between a
+// leader's engine return and its store write) is "collapsed"; the
+// stored answer after it is a "hit". Then N+1 concurrent submissions of
+// a cold spec simulate exactly once: one "miss", every other answer
+// "collapsed" or "hit", all byte-identical.
 func TestSingleflightCollapse(t *testing.T) {
-	dir := t.TempDir()
-	store, err := OpenStore(filepath.Join(dir, "store"))
+	srv, ts := newEngineServer(t)
+	ctx := context.Background()
+	cl := api.NewClient(ts.URL, sim.Options{})
+
+	memoSpec := api.Spec{Bench: "gcc", Scheme: "IDSel"}
+	sp, err := memoSpec.ToSim()
 	if err != nil {
 		t.Fatal(err)
 	}
-	queue, err := OpenQueue(filepath.Join(dir, "queue"))
+	if _, err := srv.engine.Run(ctx, sp); err != nil {
+		t.Fatal(err)
+	}
+	resp, memo := postRun(t, ts.URL, api.RunRequest{Spec: memoSpec})
+	if got := resp.Header.Get("X-Cache"); resp.StatusCode != http.StatusOK || got != "collapsed" {
+		t.Fatalf("memo answer: HTTP %d, X-Cache %q; want 200 collapsed", resp.StatusCode, got)
+	}
+	resp, hit := postRun(t, ts.URL, api.RunRequest{Spec: memoSpec})
+	if got := resp.Header.Get("X-Cache"); got != "hit" {
+		t.Errorf("answer after a memo answer: X-Cache %q, want hit", got)
+	}
+	if !bytes.Equal(memo, hit) {
+		t.Error("memo and store answers differ in bytes")
+	}
+	info, err := cl.Info(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := testOpts()
-	srv, err := New(Config{Store: store, Queue: queue, Opts: opts, Shards: 1,
-		PollInterval: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	if p := info.Progress; p.EngineRuns != 0 || p.Collapsed != 1 || p.CacheHits != 1 {
+		t.Fatalf("after memo and hit: %+v, want 0 engine runs, 1 collapsed, 1 hit", p)
 	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	defer srv.Close()
 
 	const followers = 15
 	type reply struct {
@@ -330,218 +345,137 @@ func TestSingleflightCollapse(t *testing.T) {
 			replies <- reply{resp.StatusCode, resp.Header.Get("X-Cache"), body}
 		}()
 	}
-
-	// Wait until every submission is inside the server: one leader
-	// (engineRuns), the rest collapsed onto it.
-	cl := api.NewClient(ts.URL, sim.Options{})
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		info, err := cl.Info(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Progress.Collapsed == followers && info.Progress.EngineRuns == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("submissions never collapsed: %+v", info.Progress)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Only now give the queue a worker.
-	wctx, stopWorker := context.WithCancel(context.Background())
-	workerDone := make(chan error, 1)
-	go func() { workerDone <- RunWorker(wctx, dir, 0, opts) }()
-
-	var miss, collapsed int
+	tiers := map[string]int{}
 	var first []byte
 	for i := 0; i < followers+1; i++ {
 		r := <-replies
 		if r.status != http.StatusOK {
 			t.Fatalf("reply %d: HTTP %d: %s", i, r.status, r.body)
 		}
-		switch r.tier {
-		case "miss":
-			miss++
-		case "collapsed":
-			collapsed++
-		}
+		tiers[r.tier]++
 		if first == nil {
 			first = r.body
 		} else if !bytes.Equal(first, r.body) {
-			t.Error("collapsed submissions received different bytes")
+			t.Error("concurrent submissions received different bytes")
 		}
 	}
-	if miss != 1 || collapsed != followers {
-		t.Errorf("tiers: %d miss, %d collapsed; want 1 and %d", miss, collapsed, followers)
+	if tiers["miss"] != 1 || tiers["miss"]+tiers["collapsed"]+tiers["hit"] != followers+1 {
+		t.Errorf("tiers %v; want exactly 1 miss, the rest collapsed or hit", tiers)
 	}
-	stopWorker()
-	if err := <-workerDone; err != nil {
-		t.Fatalf("worker: %v", err)
+	info, err = cl.Info(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := info.Progress; p.EngineRuns != 1 || p.Collapsed != int64(1+tiers["collapsed"]) {
+		t.Errorf("after the stampede: %+v, want 1 engine run and %d collapsed", p, 1+tiers["collapsed"])
+	}
+	if info.StoreEntries != 2 {
+		t.Errorf("storeEntries = %d, want 2", info.StoreEntries)
 	}
 }
 
-// TestShardWorkerEndToEnd runs the real multi-process protocol
-// in-process: coordinator in queue mode, a worker draining it, shard
-// journals merged back into a wiped store.
-func TestShardWorkerEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	store, err := OpenStore(filepath.Join(dir, "store"))
+// TestCloseReleasesWaitingHandlers closes a server under a long
+// simulation and a submission joined to it: both requests must end
+// promptly with an error rather than wait for the run.
+func TestCloseReleasesWaitingHandlers(t *testing.T) {
+	store, err := OpenStore(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	queue, err := OpenQueue(filepath.Join(dir, "queue"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := testOpts()
-	srv, err := New(Config{Store: store, Queue: queue, Opts: opts, Shards: 2,
-		PollInterval: 2 * time.Millisecond})
+	eng := sim.NewEngine(sim.Options{Insts: 1 << 40, Warmup: 500, Seed: 1, Parallelism: 1})
+	srv, err := New(Config{Store: store, Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	defer srv.Close()
 
-	wctx, stopWorkers := context.WithCancel(context.Background())
-	done := make(chan error, 2)
-	for k := 0; k < 2; k++ {
-		go func(k int) { done <- RunWorker(wctx, dir, k, opts) }(k)
-	}
-
-	resp, body := postRun(t, ts.URL, api.RunRequest{Spec: api.Spec{Bench: "gzip", Scheme: "IDSel"}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("queue-mode run: HTTP %d: %s", resp.StatusCode, body)
-	}
-	var res api.Result
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatal(err)
-	}
-	// A second submission is a pure store hit — no queue round-trip.
-	resp, warm := postRun(t, ts.URL, api.RunRequest{Spec: api.Spec{Bench: "gzip", Scheme: "IDSel"}})
-	if got := resp.Header.Get("X-Cache"); got != "hit" {
-		t.Errorf("second submission X-Cache = %q, want hit", got)
-	}
-	if !bytes.Equal(body, warm) {
-		t.Error("store hit returned different bytes than the worker's result")
-	}
-	stopWorkers()
-	for k := 0; k < 2; k++ {
-		if err := <-done; err != nil {
-			t.Fatalf("worker: %v", err)
-		}
-	}
-
-	// The run is journaled by whichever shard took it. Wipe the store
-	// and rebuild it from the journals alone.
-	if err := os.RemoveAll(filepath.Join(dir, "store")); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := OpenStore(filepath.Join(dir, "store"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	added, err := MergeShardJournals(dir, fresh, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if added != 1 {
-		t.Fatalf("merged %d results from shard journals, want 1", added)
-	}
-	merged, ok := fresh.Get(res.Key)
-	if !ok {
-		t.Fatal("merged store is missing the run")
-	}
-	if !bytes.Equal(merged, body) {
-		t.Error("journal-merged result bytes differ from the worker's served bytes")
-	}
-	// Merging again is a no-op.
-	if added, err := MergeShardJournals(dir, fresh, opts); err != nil || added != 0 {
-		t.Errorf("re-merge: added %d, err %v; want 0, nil", added, err)
-	}
-}
-
-// TestWorkerFailureMarker feeds the queue a request the worker cannot
-// execute and checks the failure comes back through the store as an
-// HTTP error, not a hang.
-func TestWorkerFailureMarker(t *testing.T) {
-	dir := t.TempDir()
-	store, err := OpenStore(filepath.Join(dir, "store"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	queue, err := OpenQueue(filepath.Join(dir, "queue"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := testOpts()
-	// Bypass the server's front-door validation: enqueue a bench the
-	// worker's registry does not know under a syntactically valid key.
-	key := api.Key(sim.Spec{Bench: "ghost", Scheme: core.PosSel}, opts.Insts, opts.Warmup, opts.Seed)
-	if err := queue.Enqueue(key, api.RunRequest{Spec: api.Spec{Bench: "ghost", Scheme: "PosSel"}}); err != nil {
-		t.Fatal(err)
-	}
-	wctx, stopWorker := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- RunWorker(wctx, dir, 0, opts) }()
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if msg, ok := store.TakeFailure(key); ok {
-			if msg == "" {
-				t.Error("failure marker is empty")
+	statuses := make(chan int, 2)
+	reqBody, _ := json.Marshal(api.RunRequest{Spec: api.Spec{Bench: "gcc", Scheme: "PosSel"}})
+	for i := 0; i < 2; i++ {
+		go func() {
+			resp, err := http.Post(ts.URL+api.PathPrefix+"/run", "application/json", bytes.NewReader(reqBody))
+			if err != nil {
+				statuses <- -1
+				return
 			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("worker never published a failure marker")
-		}
-		time.Sleep(5 * time.Millisecond)
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			statuses <- resp.StatusCode
+		}()
 	}
-	stopWorker()
-	if err := <-done; err != nil {
-		t.Fatalf("worker: %v", err)
+	deadline := time.Now().Add(10 * time.Second)
+	for snap := eng.Snapshot(); snap.Running != 1 || snap.Joined != 1; snap = eng.Snapshot() {
+		if time.Now().After(deadline) {
+			t.Fatalf("requests never reached the engine: %+v", snap)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv.Close()
+	for i := 0; i < 2; i++ {
+		select {
+		case st := <-statuses:
+			if st != http.StatusInternalServerError {
+				t.Errorf("request %d after Close: HTTP %d, want 500", i, st)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a request still waits after Close")
+		}
 	}
 }
 
-func TestQueueClaimRecover(t *testing.T) {
-	q, err := OpenQueue(t.TempDir())
+// TestInvalidConfigRejectedNoWedge is the regression test for specs
+// whose overrides build a machine that cannot exist: an oversized
+// token pool and a predictor table that is not a power of two. Each
+// used to panic inside the engine and leak a machine slot, so two of
+// them wedged a two-slot server. Now they are a 400 at the front door,
+// a per-spec error in a sweep and an error from Engine.Run, and a valid
+// cold run still completes after them.
+func TestInvalidConfigRejectedNoWedge(t *testing.T) {
+	srv, ts := newEngineServer(t)
+	bad := []api.Spec{
+		{Bench: "gcc", Scheme: "TkSel", Over: &api.Overrides{Tokens: 1000}},
+		{Bench: "gcc", Scheme: "TkSel", Over: &api.Overrides{PredEntries: 3}},
+	}
+	for _, ws := range bad {
+		resp, body := postRun(t, ts.URL, api.RunRequest{Spec: ws})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%+v: HTTP %d, want 400 (%s)", *ws.Over, resp.StatusCode, body)
+		}
+		sp, err := ws.ToSim()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.engine.Run(context.Background(), sp); err == nil {
+			t.Errorf("%+v: Engine.Run accepted an invalid spec", *ws.Over)
+		}
+	}
+
+	b, _ := json.Marshal(api.SweepRequest{Specs: append(bad, api.Spec{Bench: "gcc", Scheme: "PosSel"})})
+	resp, err := http.Post(ts.URL+api.PathPrefix+"/sweep", "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := api.Key(sim.Spec{Bench: "gcc", Scheme: core.PosSel}, 1, 1, 1)
-	req := api.RunRequest{Spec: api.Spec{Bench: "gcc", Scheme: "PosSel"}}
-	if err := q.Enqueue(key, req); err != nil {
-		t.Fatal(err)
+	var sw api.SweepResponse
+	err = json.NewDecoder(resp.Body).Decode(&sw)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: HTTP %d, %v", resp.StatusCode, err)
 	}
-	// Idempotent while pending.
-	if err := q.Enqueue(key, req); err != nil {
-		t.Fatal(err)
+	if len(sw.Errors) != 2 || sw.Errors[0].Index != 0 || sw.Errors[1].Index != 1 || sw.Results[2] == nil {
+		t.Errorf("sweep errors %+v; want indexes 0 and 1 failed, 2 answered", sw.Errors)
 	}
-	k, got, ok, err := q.Claim(3)
-	if err != nil || !ok || k != key || got.Spec != req.Spec {
-		t.Fatalf("claim: %q %v %v %v", k, got, ok, err)
+
+	hc := &http.Client{Timeout: 15 * time.Second}
+	reqBody, _ := json.Marshal(api.RunRequest{Spec: api.Spec{Bench: "gzip", Scheme: "TkSel"}})
+	resp, err = hc.Post(ts.URL+api.PathPrefix+"/run", "application/json", bytes.NewReader(reqBody))
+	if err != nil {
+		t.Fatalf("valid cold run after invalid specs: %v", err)
 	}
-	// Nothing left to claim.
-	if _, _, ok, _ := q.Claim(4); ok {
-		t.Fatal("second claim should find nothing")
-	}
-	// Recover strands the claim back to pending, for any shard.
-	n, err := q.Recover()
-	if err != nil || n != 1 {
-		t.Fatalf("recover: %d, %v", n, err)
-	}
-	k, _, ok, err = q.Claim(4)
-	if err != nil || !ok || k != key {
-		t.Fatalf("claim after recover: %q %v %v", k, ok, err)
-	}
-	if err := q.Done(4, key); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := q.Recover(); err != nil || n != 0 {
-		t.Fatalf("recover after done: %d, %v", n, err)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Errorf("valid cold run: HTTP %d, X-Cache %q; want 200 miss", resp.StatusCode, resp.Header.Get("X-Cache"))
 	}
 }
 
@@ -578,15 +512,20 @@ func TestStoreReopenAndFailures(t *testing.T) {
 	if s2.Len() != 1 {
 		t.Errorf("reopened len = %d, want 1", s2.Len())
 	}
-	// Failure markers are take-once.
-	if err := s2.PutFailure(key, "boom"); err != nil {
+	// An indexed file that has gone missing is a miss, not an error.
+	other := api.Key(sim.Spec{Bench: "mcf", Scheme: core.PosSel}, 1, 1, 1)
+	if err := s.Put(other, []byte(`{"y":2}`)); err != nil {
 		t.Fatal(err)
 	}
-	if msg, ok := s2.TakeFailure(key); !ok || msg != "boom" {
-		t.Fatalf("take failure: %q %v", msg, ok)
+	s3, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := s2.TakeFailure(key); ok {
-		t.Error("failure marker should clear on take")
+	if err := os.Remove(filepath.Join(dir, other+".json")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s3.Get(other); ok {
+		t.Error("a removed result file still hits")
 	}
 }
 

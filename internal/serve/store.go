@@ -1,23 +1,20 @@
 // Package serve is the simulation service: a stdlib net/http front
 // end over the batch engine (internal/sim) speaking the v1 wire API
-// (internal/api), with a content-addressed result store, a
-// service-level singleflight, SSE progress streaming, and an optional
-// multi-process shard mode built on a filesystem queue.
+// (internal/api), with a content-addressed result store and SSE
+// progress streaming.
 //
-// The layering mirrors the cache hierarchy the ROADMAP asks for. A
-// submission is answered by the cheapest tier that can:
+// A submission is answered by the cheapest tier that can:
 //
-//	store hit      — the result's bytes are already on disk; serve them
-//	                 verbatim (identical normalized Specs receive
-//	                 byte-identical bodies, forever)
-//	singleflight   — the same key is being computed right now; wait for
-//	                 the leader and share its bytes
-//	engine / queue — simulate (in process, or on a shard worker pulling
-//	                 from the shared queue), then persist to the store
+//	store hit   — the result's bytes are already on disk; serve them
+//	              verbatim (identical normalized Specs receive
+//	              byte-identical bodies, forever)
+//	engine      — the engine's singleflight either joins a run of the
+//	              same spec already in flight or simulates it; the
+//	              result is in the store before the answer is served
 //
-// The engine underneath adds its own tiers (memoization, journal
-// replay, checkpointed warm starts), so even a store-missing spec
-// rarely simulates from cycle zero.
+// The engine adds its own tiers underneath (memoization and
+// checkpointed warm starts), so even a store-missing spec rarely
+// simulates from cycle zero.
 package serve
 
 import (
@@ -34,13 +31,9 @@ import (
 // run, named by the v1 content address (api.Key) of the normalized
 // spec and run lengths, holding the marshaled api.Result bytes that
 // every future query for that run is answered with. Writes are
-// tmp+rename atomic, so concurrent writers (the server and N shard
-// workers share one directory) race benignly: both write the same
-// bytes under the same name.
-//
-// Alongside results the store holds failure markers (<key>.error) —
-// how a shard worker reports a permanent failure back to the
-// coordinator without a return channel.
+// tmp+rename atomic, so a crash never leaves a torn result behind and
+// two handlers writing one key race benignly: both write the same bytes
+// under the same name.
 type Store struct {
 	dir string
 
@@ -88,24 +81,18 @@ func (s *Store) Len() int {
 
 // Get returns the stored result bytes for key. The first disk hit per
 // key is cached in memory; after that a warm query never touches the
-// filesystem.
+// filesystem. The store is this process's alone, so a key the index
+// lacks is a miss without a disk read.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
-	if b, ok := s.mem[key]; ok {
-		s.mu.Unlock()
-		return b, true
-	}
+	b, loaded := s.mem[key]
 	onDisk := s.onDisk[key]
 	s.mu.Unlock()
-	if !onDisk {
-		// A concurrent writer (another process in shard mode) may have
-		// added the file after open; check the disk before giving up.
-		b, err := os.ReadFile(s.path(key))
-		if err != nil {
-			return nil, false
-		}
-		s.remember(key, b)
+	if loaded {
 		return b, true
+	}
+	if !onDisk {
+		return nil, false
 	}
 	b, err := os.ReadFile(s.path(key))
 	if err != nil {
@@ -150,27 +137,4 @@ func (s *Store) Put(key string, b []byte) error {
 	return nil
 }
 
-// PutFailure records a permanent per-key failure marker (shard workers
-// report errors through the store; the coordinator turns them into
-// HTTP errors).
-func (s *Store) PutFailure(key, msg string) error {
-	if !api.ValidKey(key) {
-		return fmt.Errorf("serve: store: malformed key %q", key)
-	}
-	return os.WriteFile(s.errPath(key), []byte(msg), 0o644)
-}
-
-// TakeFailure returns and clears the failure marker for key, if one
-// exists. Clearing means a transient fault (or a fixed bug) does not
-// poison the key forever: the next submission re-attempts.
-func (s *Store) TakeFailure(key string) (string, bool) {
-	b, err := os.ReadFile(s.errPath(key))
-	if err != nil {
-		return "", false
-	}
-	os.Remove(s.errPath(key))
-	return string(b), true
-}
-
-func (s *Store) path(key string) string    { return filepath.Join(s.dir, key+".json") }
-func (s *Store) errPath(key string) string { return filepath.Join(s.dir, key+".error") }
+func (s *Store) path(key string) string { return filepath.Join(s.dir, key+".json") }

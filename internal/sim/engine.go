@@ -252,19 +252,43 @@ func (e *Engine) Close() error {
 // before the usual Table 3 normalization.
 func (e *Engine) normalize(s Spec) Spec { return e.opts.NormalizeSpec(s) }
 
+// Source says how Engine.Do answered a spec.
+type Source uint8
+
+const (
+	// Ran: the call led the spec's singleflight and simulated it.
+	Ran Source = iota
+	// Joined: the call waited on a concurrent leader's simulation of
+	// the same spec and shares its result.
+	Joined
+	// Memo: the result was already held, simulated earlier by this
+	// engine or replayed from its journal.
+	Memo
+)
+
 // Run executes (or recalls) one simulation.
 func (e *Engine) Run(ctx context.Context, spec Spec) (*RunOut, error) {
+	out, _, err := e.Do(ctx, spec)
+	return out, err
+}
+
+// Do is Run that also reports how the engine answered: by simulating,
+// by joining an in-flight simulation, or from its memo.
+func (e *Engine) Do(ctx context.Context, spec Spec) (*RunOut, Source, error) {
 	spec = e.normalize(spec)
 	e.prog.queued.Add(1)
 	e.notify()
-	out, err := e.result(ctx, spec)
-	if err != nil {
+	out, src, err := e.result(ctx, spec)
+	switch {
+	case src == Joined:
+		// Counted in joined; the leader's call accounts for the spec.
+	case err != nil:
 		e.prog.failed.Add(1)
-	} else {
+	default:
 		e.prog.done.Add(1)
 	}
 	e.notify()
-	return out, err
+	return out, src, err
 }
 
 // RunAll executes the given specs concurrently (memoized and
@@ -313,9 +337,9 @@ func (e *Engine) RunAll(ctx context.Context, specs []Spec) ([]*RunOut, error) {
 
 // result returns the memoized, journal-replayed, or freshly simulated
 // run for a normalized spec, suppressing duplicate concurrent work.
-func (e *Engine) result(ctx context.Context, spec Spec) (*RunOut, error) {
+func (e *Engine) result(ctx context.Context, spec Spec) (*RunOut, Source, error) {
 	if e.journalErr != nil {
-		return nil, e.journalErr
+		return nil, Ran, e.journalErr
 	}
 	for {
 		e.mu.Lock()
@@ -325,40 +349,52 @@ func (e *Engine) result(ctx context.Context, spec Spec) (*RunOut, error) {
 				e.prog.resumed.Add(1)
 			}
 			e.mu.Unlock()
-			return out, nil
+			return out, Memo, nil
 		}
 		if fl, ok := e.inflight[spec]; ok {
+			e.prog.joined.Add(1)
 			e.mu.Unlock()
 			select {
 			case <-fl.done:
 			case <-ctx.Done():
-				return nil, fmt.Errorf("sim: %s: %w", spec, ctx.Err())
+				return nil, Joined, fmt.Errorf("sim: %s: %w", spec, ctx.Err())
 			}
 			if fl.err == nil {
-				return fl.out, nil
+				return fl.out, Joined, nil
 			}
 			// The leader may have failed only because its own context
 			// was canceled; if ours is still live, take over the spec.
 			if isCtxErr(fl.err) && ctx.Err() == nil {
+				e.prog.joined.Add(-1)
 				continue
 			}
-			return nil, fl.err
+			return nil, Joined, fl.err
 		}
 		fl := &inflightRun{done: make(chan struct{})}
 		e.inflight[spec] = fl
 		e.mu.Unlock()
+		out, err := e.lead(ctx, spec, fl)
+		return out, Ran, err
+	}
+}
 
-		out, err := e.exec(ctx, spec)
+// lead simulates spec as the leader of its inflight entry. The entry
+// is published and released in a defer, so followers are never
+// stranded, whatever way exec exits.
+func (e *Engine) lead(ctx context.Context, spec Spec, fl *inflightRun) (*RunOut, error) {
+	defer func() {
 		e.mu.Lock()
-		if err == nil {
-			e.cache[spec] = out
+		if fl.out != nil {
+			e.cache[spec] = fl.out
+		} else if fl.err == nil {
+			fl.err = fmt.Errorf("sim: %s: run abandoned", spec)
 		}
 		delete(e.inflight, spec)
 		e.mu.Unlock()
-		fl.out, fl.err = out, err
 		close(fl.done)
-		return out, err
-	}
+	}()
+	fl.out, fl.err = e.exec(ctx, spec)
+	return fl.out, fl.err
 }
 
 // exec simulates one spec on a pooled worker, retrying on a fresh
@@ -371,7 +407,9 @@ func (e *Engine) exec(ctx context.Context, spec Spec) (*RunOut, error) {
 	}
 
 	// Acquire a worker slot — or give up immediately on cancellation,
-	// so a canceled batch drains instead of starting new work.
+	// so a canceled batch drains instead of starting new work. The
+	// slot goes back in a defer: whatever machine it holds then (nil
+	// after a failure) is what the next run gets.
 	var slot *core.Machine
 	select {
 	case slot = <-e.machines:
@@ -380,8 +418,13 @@ func (e *Engine) exec(ctx context.Context, spec Spec) (*RunOut, error) {
 	}
 	e.prog.running.Add(1)
 	e.notify()
+	defer func() {
+		e.machines <- slot
+		e.prog.running.Add(-1)
+	}()
 
-	out, pool, err := e.attempt(ctx, spec, cfg, prof, slot, 0)
+	var out *RunOut
+	out, slot, err = e.attempt(ctx, spec, cfg, prof, slot, 0)
 	for attempt := 1; err != nil && attempt <= e.opts.Retries &&
 		!permanent(err) && !isCtxErr(err) && ctx.Err() == nil; attempt++ {
 		// The pooled machine is suspect: retry on a fresh, never-pooled
@@ -390,10 +433,8 @@ func (e *Engine) exec(ctx context.Context, spec Spec) (*RunOut, error) {
 		// real fault in the spec itself.
 		e.prog.retried.Add(1)
 		e.notify()
-		out, pool, err = e.attempt(ctx, spec, cfg, prof, nil, attempt)
+		out, slot, err = e.attempt(ctx, spec, cfg, prof, nil, attempt)
 	}
-	e.machines <- pool
-	e.prog.running.Add(-1)
 	if err != nil {
 		return nil, err
 	}
@@ -411,13 +452,29 @@ func (e *Engine) exec(ctx context.Context, spec Spec) (*RunOut, error) {
 // returned machine goes back into the slot: the machine that ran on
 // success — fresh builds are pooled from then on — or nil after a
 // failure, so a bad run can't poison later ones.
+//
+// attempt is the engine's fault boundary: a panic anywhere in building
+// or running the machine becomes a permanent error naming the spec,
+// the cycle and the event cursor it stopped at, and the machine is
+// dropped.
 func (e *Engine) attempt(ctx context.Context, spec Spec, cfg core.Config,
-	prof workload.Profile, pooled *core.Machine, attempt int) (*RunOut, *core.Machine, error) {
+	prof workload.Profile, pooled *core.Machine, attempt int) (out *RunOut, m *core.Machine, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			var cycle, cursor int64
+			if m != nil {
+				cycle, cursor = m.Cycle(), m.EventCount()
+			}
+			out, m = nil, nil
+			err = permanentError{fmt.Errorf("sim: %s: panic at cycle %d, event cursor %d: %v",
+				spec, cycle, cursor, r)}
+		}
+	}()
 	gen, err := workload.NewGenerator(prof, e.opts.Seed)
 	if err != nil {
 		return nil, nil, permanentError{fmt.Errorf("sim: %s: %w", spec, err)}
 	}
-	m := pooled
+	m = pooled
 	if m == nil {
 		m, err = core.New(cfg, gen)
 	} else {

@@ -39,16 +39,6 @@ type journal struct {
 	w  *bufio.Writer
 }
 
-// ReadJournal loads the replayable runs a journal holds for the given
-// options (normalized-spec keyed), plus the count of lines it skipped.
-// The sharded service coordinator uses it to merge per-worker journals
-// into the content-addressed store; the engine's own resume path goes
-// through loadJournal so it can also repair a torn tail.
-func ReadJournal(path string, opts Options) (map[Spec]*RunOut, int, error) {
-	runs, skipped, _, err := loadJournal(path, opts.withDefaults())
-	return runs, skipped, err
-}
-
 // loadJournal reads every checkpoint line that matches the engine's
 // options and returns the replayable runs keyed by normalized spec.
 // Unparseable lines and entries from different options or unknown

@@ -186,34 +186,3 @@ func TestJournalMidFileCorruptionSkippedNotTruncated(t *testing.T) {
 		t.Errorf("pure resume rewrote the journal: %d lines, want 3", len(got))
 	}
 }
-
-// ReadJournal surfaces the same view a resuming engine sees.
-func TestReadJournal(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "runs.jsonl")
-	opts := testOpts()
-	opts.Journal = path
-	spec := Spec{Bench: "gap", Scheme: core.PosSel}
-	e := NewEngine(opts)
-	out, err := e.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	runs, skipped, err := ReadJournal(path, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 0 || len(runs) != 1 {
-		t.Fatalf("ReadJournal: %d runs, %d skipped; want 1, 0", len(runs), skipped)
-	}
-	got, ok := runs[spec.Normalize()]
-	if !ok {
-		t.Fatalf("ReadJournal missing %s", spec)
-	}
-	if got.Stats.RetireHash != out.Stats.RetireHash {
-		t.Error("ReadJournal stats diverge from the live run")
-	}
-}

@@ -15,6 +15,7 @@ type progress struct {
 	running atomic.Int64
 	done    atomic.Int64
 	failed  atomic.Int64
+	joined  atomic.Int64
 	resumed atomic.Int64
 	retried atomic.Int64
 	warmed  atomic.Int64
@@ -24,7 +25,7 @@ type progress struct {
 // Snapshot is one observation of a batch's progress.
 type Snapshot struct {
 	// Queued counts specs submitted to the engine (including
-	// memoization hits and journal replays).
+	// memoization hits, journal replays and joined calls).
 	Queued int64
 	// Running counts simulations currently executing.
 	Running int64
@@ -33,6 +34,11 @@ type Snapshot struct {
 	Done int64
 	// Failed counts specs whose run (and retry) errored.
 	Failed int64
+	// Joined counts calls that wait or waited on a concurrent
+	// simulation of the same spec instead of running it. They count in
+	// neither Done nor Failed — the leader's call accounts for the
+	// spec — so at rest Queued = Done + Failed + Joined.
+	Joined int64
 	// Resumed counts runs served from the checkpoint journal instead
 	// of being re-simulated.
 	Resumed int64
@@ -66,6 +72,7 @@ func (e *Engine) Snapshot() Snapshot {
 		Running: e.prog.running.Load(),
 		Done:    e.prog.done.Load(),
 		Failed:  e.prog.failed.Load(),
+		Joined:  e.prog.joined.Load(),
 		Resumed: e.prog.resumed.Load(),
 		Retried: e.prog.retried.Load(),
 		Warmed:  e.prog.warmed.Load(),

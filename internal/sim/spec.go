@@ -191,11 +191,17 @@ func (s Spec) config(opts Options) core.Config {
 	if o.PredEntries > 0 {
 		cfg.SMPred.Entries = o.PredEntries
 	}
-	if k, err := bpred.ParseKind(o.Bpred); err == nil && k == bpred.KindTAGE {
-		cfg.Bpred = bpred.DefaultTAGE()
+	// The empty (default) kinds skip parsing: ParseKind's error for ""
+	// allocates, and the service validates every submission.
+	if o.Bpred != "" {
+		if k, err := bpred.ParseKind(o.Bpred); err == nil && k == bpred.KindTAGE {
+			cfg.Bpred = bpred.DefaultTAGE()
+		}
 	}
-	if k, err := prefetch.ParseKind(o.Prefetch); err == nil && k == prefetch.KindStride {
-		cfg.Prefetch = prefetch.DefaultStride()
+	if o.Prefetch != "" {
+		if k, err := prefetch.ParseKind(o.Prefetch); err == nil && k == prefetch.KindStride {
+			cfg.Prefetch = prefetch.DefaultStride()
+		}
 	}
 	cfg.ReplayQueue = o.ReplayQueue
 	cfg.ValuePrediction = o.ValuePrediction
